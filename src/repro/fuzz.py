@@ -9,12 +9,13 @@ the folding machinery for as long as desired.
 The campaign also differentially fuzzes the simulators themselves: for
 every generated program (and every rewrite of it), the block-compiled
 functional interpreter must produce an :class:`ExecutionResult`
-identical to the reference loop's, the dense-window timing replay an
-identical :class:`SimStats`, and the sharded parallel replay
-(:mod:`repro.sim.shard`, run with deliberately tiny slices) an identical
-stitched :class:`SimStats` (see :func:`check_simulators`).  Every
-generated trace is additionally round-tripped through the binary wire
-framing (:func:`check_wire_framing`) to pin the serve path's codec.
+identical to the reference loop's, and the fast timing replay an
+identical :class:`SimStats` to the reference timing loop — on the
+paper's machine and on one random :class:`MachineConfig` per check
+(:func:`random_machine`; the machines come from a stream derived from
+the program seed, so :func:`replay` reproduces them).  Every generated
+trace is additionally round-tripped through the binary wire framing
+(:func:`check_wire_framing`) to pin the serve path's codec.
 
 All generation is seeded and reproducible; a failure report carries the
 seed and the full program text.
@@ -131,21 +132,61 @@ def check_wire_framing(trace) -> None:
         "trace frame digest not deterministic"
 
 
-def check_simulators(program: Program, ext_defs=None) -> None:
+def random_machine(rng: random.Random):
+    """A random :class:`~repro.sim.ooo.MachineConfig` for the timing
+    differential: core widths and window, functional-unit counts, the
+    PFU bank (including unlimited PFUs), and both reconfiguration and
+    extended-instruction latency models."""
+    from repro.sim.ooo import MachineConfig
+
+    return MachineConfig(
+        fetch_width=rng.choice((1, 2, 4, 8)),
+        decode_width=rng.choice((1, 2, 4, 8)),
+        issue_width=rng.choice((1, 2, 4, 8)),
+        commit_width=rng.choice((1, 2, 4, 8)),
+        ruu_size=rng.choice((2, 4, 8, 16, 64)),
+        n_ialu=rng.randint(1, 4),
+        n_imult=rng.randint(1, 2),
+        n_memports=rng.randint(1, 2),
+        n_pfus=rng.choice((1, 2, 4, None)),
+        reconfig_latency=rng.choice((0, 1, 10, 100)),
+        reconfig_model=rng.choice(("fixed", "bitstream")),
+        ext_latency_model=rng.choice(("single_cycle", "mapped")),
+    )
+
+
+def _check_timing(program: Program, trace, config, ext_defs) -> None:
+    """Fast-vs-reference timing replay of ``trace`` under ``config``."""
+    import dataclasses
+
+    from repro.sim.ooo import OoOSimulator
+
+    stats_fast = OoOSimulator(
+        program, config=config, ext_defs=ext_defs
+    ).simulate(trace)
+    slow_cfg = dataclasses.replace(config, sim_fast_path=False)
+    stats_slow = OoOSimulator(
+        program, config=slow_cfg, ext_defs=ext_defs
+    ).simulate(trace)
+    assert vars(stats_fast) == vars(stats_slow), \
+        f"SimStats diverged on {config}"
+
+
+def check_simulators(program: Program, ext_defs=None,
+                     rng: random.Random | None = None) -> None:
     """Differentially check the fast simulation paths on ``program``.
 
     Runs the block-compiled functional interpreter against the reference
     interpreter (architectural state, trace, execution counts, bitwidth
     profile must all match), then replays the trace through the timing
     model with the dense-window fast path and the reference loop
-    (``SimStats`` must match field-for-field). Raises ``AssertionError``
-    on any divergence.
+    (``SimStats`` must match field-for-field) on the paper's 2-PFU,
+    10-cycle machine and, given ``rng``, on one
+    :func:`random_machine`. Raises ``AssertionError`` on any divergence.
     """
-    import dataclasses
-
     from repro.extinst.validate import memory_snapshot
     from repro.sim.functional import FunctionalSimulator
-    from repro.sim.ooo import MachineConfig, OoOSimulator
+    from repro.sim.ooo import MachineConfig
 
     fast = FunctionalSimulator(
         program, ext_defs=ext_defs, compile_blocks=True
@@ -166,31 +207,14 @@ def check_simulators(program: Program, ext_defs=None) -> None:
         ref.bitwidths.max_result_width, "result widths diverged"
     check_wire_framing(fast.trace)
 
-    config = MachineConfig(n_pfus=2, reconfig_latency=10)
-    stats_fast = OoOSimulator(
-        program, config=config, ext_defs=ext_defs
-    ).simulate(fast.trace)
-    slow_cfg = dataclasses.replace(config, sim_fast_path=False)
-    stats_slow = OoOSimulator(
-        program, config=slow_cfg, ext_defs=ext_defs
-    ).simulate(fast.trace)
-    assert vars(stats_fast) == vars(stats_slow), "SimStats diverged"
-
-    # Sharded replay must stitch to the exact serial stats even with
-    # deliberately tiny slices and warmup (forcing the boundary check
-    # and checkpoint-repair machinery on every generated program).
-    if len(fast.trace) >= 8:
-        from repro.sim.shard import simulate_sharded
-
-        stats_shard = simulate_sharded(
-            program, fast.trace, config, ext_defs=ext_defs,
-            jobs=1, slices=4, warmup=16,
-        )
-        assert vars(stats_shard) == vars(stats_fast), \
-            "sharded SimStats diverged from serial"
+    _check_timing(program, fast.trace,
+                  MachineConfig(n_pfus=2, reconfig_latency=10), ext_defs)
+    if rng is not None:
+        _check_timing(program, fast.trace, random_machine(rng), ext_defs)
 
 
-def check_program(program: Program, n_pfus_choices=(1, 2, 4, None)) -> int:
+def check_program(program: Program, n_pfus_choices=(1, 2, 4, None),
+                  rng: random.Random | None = None) -> int:
     """Run every *registered* selection algorithm over ``program`` and
     validate each rewrite: semantic equivalence of the rewritten
     program, fast-vs-reference agreement of both simulators on it, and
@@ -201,11 +225,12 @@ def check_program(program: Program, n_pfus_choices=(1, 2, 4, None)) -> int:
     reconfiguration latency its objective accounted for (zero for
     selectors whose gain model ignores reconfiguration cost).
     Budget-aware selectors are exercised at every budget in
-    ``n_pfus_choices``.  Returns the number of folded sites; raises on
-    divergence."""
+    ``n_pfus_choices``.  ``rng`` (optional) draws one random machine per
+    simulator check for the timing differential.  Returns the number of
+    folded sites; raises on divergence."""
     profile = profile_program(program)
     folded = 0
-    check_simulators(program)
+    check_simulators(program, rng=rng)
 
     for algorithm in registered_algorithms():
         spec = get_selector(algorithm)
@@ -215,7 +240,7 @@ def check_program(program: Program, n_pfus_choices=(1, 2, 4, None)) -> int:
             selection = run_selection(profile, params)
             rewritten, defs = apply_selection(program, selection)
             validate_equivalence(program, rewritten, defs)
-            check_simulators(rewritten, defs)
+            check_simulators(rewritten, defs, rng=rng)
             folded += len(selection.sites)
 
             estimate = estimate_cycles_saved(
@@ -253,8 +278,11 @@ def build_program(seed: int, flavor: str) -> tuple[Program, str]:
 def _check_one(seed: int, flavor: str, result: FuzzResult) -> None:
     program, source = build_program(seed, flavor)
     result.runs += 1
+    # A stream separate from the program generator's, so the drawn
+    # machines do not track the drawn source.
+    rng = random.Random(f"machine:{seed}")
     try:
-        result.folded_sites += check_program(program)
+        result.folded_sites += check_program(program, rng=rng)
     except (ReproError, AssertionError) as exc:
         result.failures.append(
             {

@@ -148,58 +148,6 @@ def render_metrics_report(datasets: list[dict], top: int = 6) -> str:
                 f"[{_algorithm_of(row['labels'])}]: {mean:.2f}"
             )
 
-    # ------------------------------------------------------- sharded replay
-    shard_counters: dict[str, float] = defaultdict(float)
-    shard_fallbacks: dict[str, float] = defaultdict(float)
-    shard_hists: dict[str, dict[str, float]] = defaultdict(
-        lambda: {"count": 0, "sum": 0}
-    )
-    for row in rows:
-        name = row["name"]
-        if not name.startswith("sim.shard."):
-            continue
-        if row["kind"] == "counter":
-            shard_counters[name] += row["value"]
-            if name == "sim.shard.fallback":
-                reason = str(row["labels"].get("reason", "(unknown)"))
-                shard_fallbacks[reason] += row["value"]
-        elif row["kind"] == "histogram":
-            shard_hists[name]["count"] += row.get("count", 0)
-            shard_hists[name]["sum"] += row.get("sum", 0)
-    if shard_counters or shard_hists:
-        runs = shard_counters.get("sim.shard.runs", 0)
-        slices = shard_counters.get("sim.shard.slices", 0)
-        repairs = shard_counters.get("sim.shard.repairs", 0)
-        lines.append("")
-        lines.append("sharded replay (parallel trace slices)")
-        lines.append(
-            f"  sharded runs: {_fmt_count(runs)}; "
-            f"slices replayed: {_fmt_count(slices)}"
-            + (f" ({slices / runs:.1f}/run)" if runs else "")
-        )
-        if repairs:
-            lines.append(
-                f"  checkpoint-seeded repairs: {_fmt_count(repairs)}"
-            )
-        stitch = shard_hists.get("sim.shard.stitch.ms")
-        if stitch and stitch["count"]:
-            lines.append(
-                f"  stitch overhead: {stitch['sum'] / stitch['count']:.2f} "
-                f"ms/run (boundary pass + verify + merge)"
-            )
-        warm = shard_hists.get("sim.shard.warmup.frac")
-        if warm and warm["count"]:
-            lines.append(
-                f"  warmup fraction: {warm['sum'] / warm['count']:.1%} "
-                f"of replayed instructions discarded as overlap"
-            )
-        if shard_fallbacks:
-            parts = ", ".join(
-                f"{reason}={_fmt_count(n)}"
-                for reason, n in sorted(shard_fallbacks.items())
-            )
-            lines.append(f"  serial fallbacks: {parts}")
-
     # ------------------------------------------------------- explore
     sweeps: dict[str, dict[str, float]] = defaultdict(dict)
     for row in rows:

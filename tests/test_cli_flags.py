@@ -57,6 +57,22 @@ def test_experiment_subcommands_parse_engine_flags(argv, tmp_path):
     assert args.engine_report is True
 
 
+def test_sim_jobs_accepts_only_serial_replay(capsys):
+    """``--sim-jobs``/``EngineConfig.sim_jobs`` remain only so existing
+    callers that pass 1 keep working; any other value is rejected."""
+    from repro.engine import EngineConfig
+    from repro.errors import ConfigurationError
+
+    parser = build_parser()
+    assert parser.parse_args(["report", "--sim-jobs", "1"]).sim_jobs == 1
+    with pytest.raises(SystemExit):
+        parser.parse_args(["report", "--sim-jobs", "2"])
+    assert "invalid choice" in capsys.readouterr().err
+    assert EngineConfig(sim_jobs=1).sim_jobs == 1
+    with pytest.raises(ConfigurationError, match="sim_jobs"):
+        EngineConfig(sim_jobs=2)
+
+
 def test_metrics_report_subcommand_parses():
     args = build_parser().parse_args(
         ["metrics", "report", "a.jsonl", "b.jsonl", "--top", "3"]

@@ -10,6 +10,7 @@ from repro.fuzz import (
     check_program,
     check_simulators,
     random_asm_program,
+    random_machine,
     random_minic_program,
     run_campaign,
 )
@@ -89,6 +90,18 @@ class TestSimulatorDifferential:
         rewritten, defs = apply_selection(program, selection)
         check_simulators(rewritten, defs)
 
+    def test_random_machines_cover_pfu_and_latency_models(self):
+        """A fixed seed's draws reach both reconfiguration models, both
+        ext-latency models and the unlimited-PFU bank."""
+        rng = random.Random(2026)
+        machines = [random_machine(rng) for _ in range(40)]
+        assert {m.reconfig_model for m in machines} == {"fixed", "bitstream"}
+        assert {m.ext_latency_model for m in machines} == \
+            {"single_cycle", "mapped"}
+        assert None in {m.n_pfus for m in machines}
+        again = random.Random(2026)
+        assert machines == [random_machine(again) for _ in range(40)]
+
     def test_divergence_raises(self, monkeypatch):
         """A simulator-path divergence must surface as AssertionError
         (which the campaign records as a failure)."""
@@ -116,7 +129,7 @@ class TestFailureReporting:
         reports it instead of crashing."""
         import repro.fuzz as fuzz_mod
 
-        def broken_check(program, n_pfus_choices=(2,)):
+        def broken_check(program, n_pfus_choices=(2,), rng=None):
             raise AssertionError("injected fault")
 
         monkeypatch.setattr(fuzz_mod, "check_program", broken_check)
@@ -136,7 +149,7 @@ class TestReplay:
 
         seen = []
 
-        def spy_check(program, n_pfus_choices=(1, 2, 4, None)):
+        def spy_check(program, n_pfus_choices=(1, 2, 4, None), rng=None):
             seen.append(program)
             return 0
 
@@ -156,7 +169,7 @@ class TestReplay:
         hits the same failure the campaign printed."""
         import repro.fuzz as fuzz_mod
 
-        def broken_check(program, n_pfus_choices=(2,)):
+        def broken_check(program, n_pfus_choices=(2,), rng=None):
             raise AssertionError("injected fault")
 
         monkeypatch.setattr(fuzz_mod, "check_program", broken_check)
@@ -188,7 +201,7 @@ class TestReplay:
         import repro.fuzz as fuzz_mod
         from repro.harness.cli import main
 
-        def broken_check(program, n_pfus_choices=(2,)):
+        def broken_check(program, n_pfus_choices=(2,), rng=None):
             raise AssertionError("injected fault")
 
         monkeypatch.setattr(fuzz_mod, "check_program", broken_check)
