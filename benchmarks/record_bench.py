@@ -190,15 +190,17 @@ def _measure_selection() -> dict:
 
 def _measure_wire_framing() -> dict:
     """The serve wire-format entry: bytes per simulate request and sweep
-    throughput, digest-addressed frames vs the legacy pickle envelopes.
+    throughput, digest-addressed frames vs by-value typed params.
 
     Mirrors ``bench_wire_framing``: one client pipelines a 16-point
-    machine-config sweep against an in-process server twice — once
-    through a :class:`~repro.serve.client.TraceRef` (the program bundle
-    ships once, every point is a by-reference request) and once inline
-    (``framed=False``, every request re-ships the pickled program).
-    Recording aborts unless the two legs are byte-identical and the
-    framed leg sends at least 3x fewer bytes per request.
+    machine-config sweep over one rewritten program against an
+    in-process server twice — once through a
+    :class:`~repro.serve.client.TraceRef` (the program bundle ships
+    once, every point is a by-reference request) and once by value
+    (every request re-ships the ``$program`` and ``$ext_defs``
+    envelopes).  Recording aborts unless the two legs are
+    byte-identical and the framed leg sends at least 3x fewer bytes per
+    request.
     """
     import json as json_mod
 
@@ -217,14 +219,18 @@ def _measure_wire_framing() -> dict:
     points = 16
     grid = [api.MachineConfig(ruu_size=16 + 8 * i) for i in range(points)]
     program = api.compile(source=source, name="wire_bench")
+    selection = api.select(profile=api.profile(program=program),
+                           algorithm="selective", pfus=2)
+    rewritten, defs = api.rewrite(program=program, selection=selection)
+    by_value = dict(program=rewritten, ext_defs=defs)
 
     def canonical(stats):
         return json_mod.dumps(stats_to_json(stats), sort_keys=True)
 
-    def sweep(client, payload):
+    def sweep(client, **payload):
         sent = client.bytes_sent
         t0 = time.perf_counter()
-        pending = [client.simulate_submit(program=payload, machine=machine)
+        pending = [client.simulate_submit(machine=machine, **payload)
                    for machine in grid]
         answers = [canonical(call.result()) for call in pending]
         return answers, client.bytes_sent - sent, time.perf_counter() - t0
@@ -232,34 +238,32 @@ def _measure_wire_framing() -> dict:
     with ToolflowServer(ServeConfig(workers=2, max_queue=256)) as server:
         with ServeClient(server.address, timeout=120.0) as client:
             client.wait_ready()
-            ref = client.trace_ref(program=program)
+            ref = client.trace_ref(**by_value)
             client.simulate(program=ref, machine=grid[0])   # warmup
-            framed, framed_bytes, _ = sweep(client, ref)
+            framed, framed_bytes, _ = sweep(client, program=ref)
             framed_s = _median_seconds(
-                lambda: sweep(client, ref), repeats=3)
-        with ServeClient(server.address, timeout=120.0,
-                         framed=False) as client:
-            client.simulate(program=program, machine=grid[0])
-            inline, inline_bytes, _ = sweep(client, program)
-            inline_s = _median_seconds(
-                lambda: sweep(client, program), repeats=3)
+                lambda: sweep(client, program=ref), repeats=3)
+            client.simulate(machine=grid[0], **by_value)
+            valued, value_bytes, _ = sweep(client, **by_value)
+            value_s = _median_seconds(
+                lambda: sweep(client, **by_value), repeats=3)
 
-    if framed != inline:
-        raise SystemExit("framed sweep responses diverged from inline")
-    reduction = inline_bytes / framed_bytes
+    if framed != valued:
+        raise SystemExit("framed sweep responses diverged from by-value")
+    reduction = value_bytes / framed_bytes
     if reduction < 3.0:
         raise SystemExit(
             f"framed sweep sent only {reduction:.1f}x fewer bytes per "
-            f"request than the pickle path (expected >= 3x)"
+            f"request than the by-value path (expected >= 3x)"
         )
     return {
         "wire_framing": {
             "median_s": round(framed_s, 6),
             "ops_per_s": round(points / framed_s, 2),
-            "pickle_median_s": round(inline_s, 6),
-            "pickle_ops_per_s": round(points / inline_s, 2),
+            "by_value_median_s": round(value_s, 6),
+            "by_value_ops_per_s": round(points / value_s, 2),
             "bytes_per_request": round(framed_bytes / points),
-            "pickle_bytes_per_request": round(inline_bytes / points),
+            "by_value_bytes_per_request": round(value_bytes / points),
             "bytes_reduction": round(reduction, 2),
             "points": points,
             "cores": os.cpu_count() or 1,
@@ -303,7 +307,7 @@ def write_baseline(path: Path) -> None:
             )
         elif "bytes_reduction" in row:
             detail = (f"{row['bytes_per_request']} B/request framed vs "
-                      f"{row['pickle_bytes_per_request']} B pickle "
+                      f"{row['by_value_bytes_per_request']} B by value "
                       f"({row['bytes_reduction']}x fewer bytes, "
                       f"{row['points']} points)")
         else:

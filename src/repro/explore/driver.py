@@ -173,9 +173,7 @@ def _run_points_serve(
 
         # Digest-addressed handle: the program bundle crosses the wire
         # at most once per owning backend, and every fan-out point after
-        # that is a ~100-byte by-reference request.  On a non-framed
-        # client (REPRO_SERVE_PICKLE=1) the ref degrades to inline
-        # params, so this path needs no escape hatch of its own.
+        # that is a ~100-byte by-reference request.
         base_ref = client.trace_ref(program=program)
 
         # Baseline denominators: one per distinct core geometry.
@@ -215,7 +213,7 @@ def _run_points_serve(
                     validate=point.validate,
                 )
                 # The ref pins ext_defs alongside the rewritten program,
-                # so the simulate fan-out below carries neither inline.
+                # so the simulate fan-out below carries neither by value.
                 ref = client.trace_ref(program=rewritten, ext_defs=defs)
                 prepared[skey] = (ref, selection)
                 areas[(workload, scale) + skey] = selection_area(selection)

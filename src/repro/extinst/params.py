@@ -17,7 +17,7 @@ plugin participates in every entry point without touching this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import TYPE_CHECKING
 
 from repro.errors import ConfigurationError
@@ -94,6 +94,17 @@ class SelectionParams:
         )
 
 
+def params_to_json(params: SelectionParams) -> dict:
+    """A :class:`SelectionParams` as a JSON field dict."""
+    return asdict(params)
+
+
+def params_from_json(doc: dict) -> SelectionParams:
+    """Inverse of :func:`params_to_json`."""
+    extraction = ExtractionParams(**doc.get("extraction", {}))
+    return SelectionParams(**dict(doc, extraction=extraction))
+
+
 def coerce_selection_params(
     algorithm: "str | SelectionParams",
     select_pfus: int | None = None,
@@ -127,5 +138,7 @@ __all__ = [
     "DEFAULT_GAIN_THRESHOLD",
     "SelectionParams",
     "coerce_selection_params",
+    "params_from_json",
+    "params_to_json",
     "run_selection",
 ]

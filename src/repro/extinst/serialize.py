@@ -71,6 +71,18 @@ def extdef_from_json(data: dict) -> ExtInstDef:
     )
 
 
+def ext_defs_to_json(ext_defs: dict[int, ExtInstDef]) -> list:
+    """A configuration table as sorted ``[conf, extdef]`` pairs (the
+    canonical form: equal tables encode to equal JSON)."""
+    return [[conf, extdef_to_json(ext_defs[conf])]
+            for conf in sorted(ext_defs)]
+
+
+def ext_defs_from_json(data: list) -> dict[int, ExtInstDef]:
+    """Inverse of :func:`ext_defs_to_json`."""
+    return {int(conf): extdef_from_json(entry) for conf, entry in data}
+
+
 # ----------------------------------------------------------------------
 # Selection
 

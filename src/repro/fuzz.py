@@ -14,8 +14,9 @@ identical :class:`SimStats` to the reference timing loop — on the
 paper's machine and on one random :class:`MachineConfig` per check
 (:func:`random_machine`; the machines come from a stream derived from
 the program seed, so :func:`replay` reproduces them).  Every generated
-trace is additionally round-tripped through the binary wire framing
-(:func:`check_wire_framing`) to pin the serve path's codec.
+trace is additionally round-tripped through the binary wire framing,
+and every program (with its ``ext_defs``) through a simulate bundle
+(:func:`check_wire_framing`), to pin the serve path's codecs.
 
 All generation is seeded and reproducible; a failure report carries the
 seed and the full program text.
@@ -111,15 +112,20 @@ def random_minic_program(rng: random.Random) -> str:
     )
 
 
-def check_wire_framing(trace) -> None:
+def check_wire_framing(trace, program: Program | None = None,
+                       ext_defs=None) -> None:
     """Round-trip ``trace`` through the binary column framing
-    (:mod:`repro.wire`) and assert byte identity.
+    (:mod:`repro.wire`) and assert byte identity; given ``program``,
+    also round-trip it (with ``ext_defs``) through a simulate bundle.
 
     Every fuzz-generated trace exercises the zero-copy serve path's
     codec: ``decode(encode(t))`` must reproduce both columns exactly,
-    and the frame's content digest must be deterministic.  Raises
-    ``AssertionError`` on any divergence."""
+    and the frame's content digest must be deterministic.  The bundle
+    must give back the same rendered source, data, symbols, program
+    fingerprint and ``ext_defs``.  Raises ``AssertionError`` on any
+    divergence."""
     from repro import wire
+    from repro.engine.store import program_fingerprint
 
     chunks = wire.trace_chunks(trace)
     decoded = wire.trace_from_bytes(b"".join(chunks))
@@ -130,6 +136,16 @@ def check_wire_framing(trace) -> None:
     assert wire.chunks_digest(chunks) == \
         wire.chunks_digest(wire.trace_chunks(decoded)), \
         "trace frame digest not deterministic"
+    if program is not None:
+        bundle = wire.decode_bundle(b"".join(
+            bytes(chunk) for chunk in wire.bundle_chunks(program, ext_defs)))
+        shipped = bundle.program
+        assert (shipped.render(), shipped.data, shipped.symbols) == \
+            (program.render(), program.data, program.symbols), \
+            "bundled source, data or symbols diverged"
+        assert program_fingerprint(shipped) == program_fingerprint(program), \
+            "bundled program fingerprint diverged"
+        assert bundle.ext_defs == ext_defs, "bundled ext_defs diverged"
 
 
 def random_machine(rng: random.Random):
@@ -205,7 +221,7 @@ def check_simulators(program: Program, ext_defs=None,
         ref.bitwidths.max_operand_width, "operand widths diverged"
     assert fast.bitwidths.max_result_width == \
         ref.bitwidths.max_result_width, "result widths diverged"
-    check_wire_framing(fast.trace)
+    check_wire_framing(fast.trace, program, ext_defs)
 
     _check_timing(program, fast.trace,
                   MachineConfig(n_pfus=2, reconfig_latency=10), ext_defs)

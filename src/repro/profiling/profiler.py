@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from repro.isa.opcodes import opcode_info
 from repro.program.cfg import ControlFlowGraph, build_cfg
 from repro.program.loops import Loop, find_natural_loops
-from repro.program.program import Program
+from repro.program.program import Program, program_from_json, program_to_json
 from repro.sim.functional import FunctionalSimulator
 
 
@@ -91,4 +91,34 @@ def profile_program(program: Program, max_steps: int = 50_000_000) -> ProgramPro
         base_cycles_estimate=base_cycles,
         dynamic_instructions=result.steps,
         final_regs=list(result.regs),
+    )
+
+
+#: The per-static-instruction columns of a :class:`ProgramProfile`.
+_COLUMNS = ("exec_counts", "max_operand_width", "max_result_width")
+
+
+def profile_to_json(profile: ProgramProfile) -> dict:
+    """A profile as JSON: its program, the per-instruction columns and
+    the scalar fields (the CFG and loops are rebuilt from the program)."""
+    doc = {name: list(getattr(profile, name)) for name in _COLUMNS}
+    doc.update(program=program_to_json(profile.program),
+               base_cycles_estimate=profile.base_cycles_estimate,
+               dynamic_instructions=profile.dynamic_instructions,
+               final_regs=list(profile.final_regs))
+    return doc
+
+
+def profile_from_json(doc: dict) -> ProgramProfile:
+    """Inverse of :func:`profile_to_json`."""
+    program = program_from_json(doc["program"])
+    columns = {name: [int(v) for v in doc[name]] for name in _COLUMNS}
+    if any(len(column) != len(program.text) for column in columns.values()):
+        raise ValueError("profile columns do not match the program length")
+    cfg = build_cfg(program)
+    return ProgramProfile(
+        program=program, cfg=cfg, loops=find_natural_loops(cfg),
+        base_cycles_estimate=int(doc["base_cycles_estimate"]),
+        dynamic_instructions=int(doc["dynamic_instructions"]),
+        final_regs=[int(v) for v in doc["final_regs"]], **columns,
     )

@@ -11,6 +11,7 @@ system (``pc = TEXT_BASE + 4 * index``).
 
 from __future__ import annotations
 
+import base64
 from dataclasses import dataclass, field
 
 from repro.errors import InvalidProgramError
@@ -149,3 +150,26 @@ class Program:
             symbols=dict(self.symbols),
             name=self.name,
         )
+
+
+# ----------------------------------------------------------------------
+# JSON codec (the serve wire's program envelope)
+
+
+def program_to_json(program: Program) -> dict:
+    """A program as JSON: its rendered text segment (labels inline)
+    plus the base64 data image, symbol table and name."""
+    return {"name": program.name, "source": program.render(),
+            "data": base64.b64encode(program.data).decode("ascii"),
+            "symbols": dict(program.symbols)}
+
+
+def program_from_json(doc: dict) -> Program:
+    """Inverse of :func:`program_to_json`; the text segment is
+    re-assembled (and so re-validated) from its source."""
+    from repro.asm.assembler import assemble
+
+    program = assemble(str(doc["source"]), name=str(doc["name"]))
+    program.data = base64.b64decode(doc["data"], validate=True)
+    program.symbols = {str(k): int(v) for k, v in doc["symbols"].items()}
+    return program

@@ -41,18 +41,18 @@ Semantics:
 - **send-once traces** — :meth:`ServeClient.trace_ref` wraps a
   simulate payload as a digest-addressed :class:`TraceRef`; passing it
   as ``program=`` makes every request carry a 16-hex-char digest
-  instead of the pickled program, with the binary bundle uploaded at
-  most once per backend (a ``need_trace`` miss triggers one
-  ``put_trace`` upload and a retry, transparently).  Setting
-  ``REPRO_SERVE_PICKLE=1`` makes refs *inline* — requests degrade to
-  the legacy pickled-params wire — and responses are byte-identical
-  either way.
+  instead of the ``$program`` envelope, with the binary bundle uploaded
+  at most once per backend (a ``need_trace`` miss triggers one
+  ``put_trace`` upload and a retry, transparently).  Responses are
+  byte-identical to by-value ``simulate(program=..., ext_defs=...)``.
+
+Every value the client sends or receives is a typed JSON envelope
+(:func:`repro.serve.protocol.encode_value`); nothing is pickled.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 import random
 import socket
 import time
@@ -89,18 +89,15 @@ class TraceRef:
     Build one with :meth:`ServeClient.trace_ref` and pass it as the
     ``program=`` argument of :meth:`ServeClient.simulate` /
     :meth:`~ServeClient.simulate_submit`.  Encoding and digesting are
-    lazy and cached, so a 400-point sweep hashes the bundle once.  An
-    *inline* ref (the ``REPRO_SERVE_PICKLE=1`` escape hatch) never
-    touches the binary wire: requests carry the legacy pickled params.
+    lazy and cached, so a 400-point sweep hashes the bundle once.
     """
 
     def __init__(self, program, ext_defs=None, max_steps: int | None = None,
-                 trace=None, inline: bool = False):
+                 trace=None):
         self.program = program
         self.ext_defs = ext_defs
         self.max_steps = max_steps
         self.trace = trace
-        self.inline = inline
         self._chunks: list | None = None
         self._digest: str | None = None
 
@@ -181,7 +178,6 @@ class ServeClient:
         retries: int = 2,
         retry_backoff: float = 0.05,
         admission_class: str | None = None,
-        framed: bool | None = None,
     ):
         self.address = _parse_address(address)
         self.timeout = timeout
@@ -192,11 +188,6 @@ class ServeClient:
         #: the field; a :mod:`repro.gateway` uses it to prioritise
         #: interactive traffic over bulk sweeps.
         self.admission_class = admission_class
-        #: Whether :meth:`trace_ref` produces digest-addressed refs
-        #: (the default) or inline ones (``REPRO_SERVE_PICKLE=1``, or
-        #: an explicit ``framed=False`` — the benchmark's pickle leg).
-        self.framed = (os.environ.get("REPRO_SERVE_PICKLE") != "1"
-                       if framed is None else framed)
         #: Wire accounting, visible to loadtest/benchmark reporting.
         self.bytes_sent = 0
         self.bytes_received = 0
@@ -327,7 +318,7 @@ class ServeClient:
             return self._decode_response(
                 self._roundtrip(op, params, timeout_ms, frame_chunks))
         except protocol.NeedTraceError:
-            if trace_ref is None or trace_ref.inline:
+            if trace_ref is None:
                 raise
             self._recover_need_trace(trace_ref)
             return self._decode_response(
@@ -348,7 +339,7 @@ class ServeClient:
             op, params, timeout_ms, None)
         self.connect()
         self._send_buffers(buffers)
-        retry = (None if trace_ref is None or trace_ref.inline
+        retry = (None if trace_ref is None
                  else (params, timeout_ms, trace_ref))
         return PendingCall(self, request_id, op, retry=retry)
 
@@ -453,20 +444,15 @@ class ServeClient:
         :meth:`simulate_submit`; the bundle ships at most once per
         backend.  ``trace`` may carry a locally computed
         :class:`~repro.sim.trace.DynTrace` to spare the backend its
-        functional run.  On a non-framed client (the
-        ``REPRO_SERVE_PICKLE=1`` escape hatch) the ref is *inline* and
-        requests degrade to the legacy wire transparently."""
+        functional run."""
         return TraceRef(program, ext_defs=ext_defs, max_steps=max_steps,
-                        trace=trace, inline=not self.framed)
+                        trace=trace)
 
     def put_trace(self, ref: TraceRef) -> dict:
         """Upload ``ref``'s bundle into the backend trace cache.
 
         Usually implicit (the ``need_trace`` recovery inside
         :meth:`call`); explicit warmup avoids even the first miss."""
-        if ref.inline:
-            raise protocol.BadRequestError(
-                "cannot put_trace an inline TraceRef")
         self.trace_uploads += 1
         return self.call(protocol.PUT_TRACE_OP, {"digest": ref.digest},
                          frame_chunks=ref.chunks())
@@ -474,22 +460,15 @@ class ServeClient:
     def _simulate_params(self, program, machine, ext_defs, max_steps
                          ) -> "tuple[dict, TraceRef | None]":
         """Wire params for a simulate — by-ref when ``program`` is a
-        framed :class:`TraceRef`, legacy otherwise."""
-        ref: TraceRef | None = None
+        :class:`TraceRef`, by value otherwise."""
         if isinstance(program, TraceRef):
-            ref = program
             if ext_defs is not None or max_steps is not None:
                 raise protocol.BadRequestError(
                     "ext_defs/max_steps are fixed by the TraceRef; pass "
                     "them to trace_ref() instead")
-            if ref.inline:
-                program, ext_defs, max_steps = (
-                    ref.program, ref.ext_defs, ref.max_steps)
-                ref = None
-            else:
-                params: dict[str, Any] = {"trace_ref": ref.digest}
-                self._add_machines(params, machine)
-                return params, ref
+            params: dict[str, Any] = {"trace_ref": program.digest}
+            self._add_machines(params, machine)
+            return params, program
         params = {
             "program": protocol.encode_value(program),
             "ext_defs": protocol.encode_value(ext_defs),

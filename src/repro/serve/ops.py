@@ -21,12 +21,14 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import OrderedDict
+from dataclasses import dataclass
 from typing import Any
 
 from repro.engine.pipeline import ArtifactPipeline
 from repro.engine.store import (
     ArtifactStore,
     machine_fingerprint,
+    machine_from_json,
     make_key,
     program_fingerprint,
     stats_to_json,
@@ -40,37 +42,70 @@ from repro.sim.ooo import MachineConfig
 _SERVE_SCALE = 0
 
 
-def _selection_digest(selection) -> str:
-    from repro.extinst.serialize import selection_to_json
-
-    blob = json.dumps(selection_to_json(selection), sort_keys=True)
+def _json_digest(doc) -> str:
+    blob = json.dumps(doc, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _ext_defs_digest(ext_defs) -> str:
-    if not ext_defs:
-        return "none"
-    import pickle
+def _selection_digest(selection) -> str:
+    from repro.extinst.serialize import selection_to_json
 
-    blob = pickle.dumps(sorted(ext_defs.items()), protocol=4)
-    return hashlib.sha256(blob).hexdigest()[:16]
+    return _json_digest(selection_to_json(selection))
+
+
+def _ext_defs_digest(ext_defs) -> str:
+    """Digest of an ``ext_defs`` table's canonical JSON (stable across
+    processes and Python versions)."""
+    from repro.extinst.serialize import ext_defs_to_json
+
+    return _json_digest(ext_defs_to_json(ext_defs)) if ext_defs else "none"
 
 
 def _coerce_machine(machine: Any) -> MachineConfig:
-    """A :class:`MachineConfig` from a wire machine value.
-
-    Accepts a pickled ``MachineConfig`` or a plain field dict; raises
-    :class:`~repro.errors.ReproError` for anything else (which surfaces
-    as a per-item ``op_failed`` — the poisoned-batch path)."""
+    """A :class:`MachineConfig` from a decoded wire machine value: a
+    ``MachineConfig``, ``None`` (the default) or a plain field dict,
+    whose nested ``hierarchy`` is rebuilt by ``machine_from_json``.  A
+    hierarchy with missing parts is a ``bad_request``; a field the
+    constructor rejects fails its item as ``op_failed``."""
     if isinstance(machine, MachineConfig):
         return machine
     if machine is None:
         return MachineConfig()
     if isinstance(machine, dict):
-        return MachineConfig(**machine)  # ConfigurationError on bad fields
+        try:
+            return machine_from_json(machine)
+        except KeyError as exc:
+            raise protocol.BadRequestError(
+                f"machine hierarchy is missing {exc}") from None
     raise protocol.BadRequestError(
         f"machine must be a MachineConfig or field dict, got {type(machine)!r}"
     )
+
+
+@dataclass(frozen=True)
+class _Payload:
+    """A simulate batch's shared program, ``ext_defs``, ``max_steps``
+    and optional trace, with their store-key digests computed once."""
+
+    program: Any
+    ext_defs: Any
+    max_steps: int
+    trace: Any
+    fingerprint: str
+    defs_digest: str
+
+
+def _payload(program, ext_defs, max_steps, trace=None) -> _Payload:
+    return _Payload(program, ext_defs, max_steps, trace,
+                    program_fingerprint(program), _ext_defs_digest(ext_defs))
+
+
+def _item_error(exc: Exception) -> dict:
+    """One item's wire error (``op_failed`` unless ``exc`` is typed)."""
+    return {"ok": False, "error": {
+        "code": getattr(exc, "code", protocol.OP_FAILED),
+        "message": f"{type(exc).__name__}: {exc}",
+    }}
 
 
 class OpRunner:
@@ -85,7 +120,7 @@ class OpRunner:
     def __init__(self, cache_dir: str | None = None):
         store = ArtifactStore(cache_dir) if cache_dir else None
         self.pipeline = ArtifactPipeline(store=store)
-        self._bundles: OrderedDict[str, Any] = OrderedDict()
+        self._bundles: OrderedDict[str, _Payload] = OrderedDict()
 
     # ------------------------------------------------------------------
     # store plumbing (serve artefacts are keyed by program fingerprint,
@@ -119,14 +154,18 @@ class OpRunner:
         op = job["op"]
         items = job["items"]
         if op == "simulate":
-            bundle = None
+            payload = None
             digest = job.get("trace_ref")
             if digest is not None:
-                bundle = self._bundle_for(digest, job.get("trace_blob"))
-                if bundle is None:
+                try:
+                    payload = self._bundle_for(digest, job.get("trace_blob"))
+                except ReproError as exc:  # fails its batch, not the worker
+                    return {"results": [_item_error(exc)] * len(items),
+                            "telemetry": {}}
+                if payload is None:
                     return {"need_blob": digest, "results": [],
                             "telemetry": {}}
-            results = self._simulate_batch(items, bundle=bundle)
+            results = self._simulate_batch(items, payload=payload)
         else:
             results = [self._run_single(op, item) for item in items]
         self.pipeline.flush()
@@ -136,8 +175,9 @@ class OpRunner:
         }
 
     def _bundle_for(self, digest: str, blob: bytes | None):
-        """The decoded bundle for ``digest`` — from the LRU, or decoded
-        (and digest-verified) from ``blob``; ``None`` when unknown."""
+        """The decoded bundle for ``digest`` as a :class:`_Payload` —
+        from the LRU, or decoded (and digest-verified) from ``blob``;
+        ``None`` when unknown."""
         from repro import wire
 
         cached = self._bundles.get(digest)
@@ -152,11 +192,16 @@ class OpRunner:
                 f"trace bundle digest mismatch: job says {digest!r}, "
                 f"blob hashes to {actual!r}"
             )
-        bundle = wire.decode_bundle(blob)
-        self._bundles[digest] = bundle
+        try:
+            bundle = wire.decode_bundle(blob)
+        except wire.FrameError as exc:
+            raise protocol.BadRequestError(str(exc)) from None
+        payload = _payload(bundle.program, bundle.ext_defs,
+                           bundle.max_steps, bundle.trace)
+        self._bundles[digest] = payload
         while len(self._bundles) > self.BUNDLE_CACHE_ENTRIES:
             self._bundles.popitem(last=False)
-        return bundle
+        return payload
 
     def _run_single(self, op: str, params: dict) -> dict:
         try:
@@ -168,10 +213,7 @@ class OpRunner:
             )
             return {"ok": True, "value": protocol.encode_value(value)}
         except (ReproError, AssertionError, TypeError, ValueError) as exc:
-            return {"ok": False, "error": {
-                "code": getattr(exc, "code", protocol.OP_FAILED),
-                "message": f"{type(exc).__name__}: {exc}",
-            }}
+            return _item_error(exc)
 
     # ------------------------------------------------------------------
     # the five toolflow ops
@@ -223,34 +265,35 @@ class OpRunner:
     # ------------------------------------------------------------------
     # simulate: the micro-batched path
 
-    def _trace_for(self, program, ext_defs, max_steps):
-        """The program's dynamic trace (store-cached like engine traces)."""
+    def _trace_for(self, payload: _Payload):
+        """The payload's dynamic trace: the shipped one, else a
+        functional run (store-cached like engine traces)."""
         from repro.sim.functional import FunctionalSimulator
 
-        fingerprint = program_fingerprint(program)
+        if payload.trace is not None:
+            return payload.trace
 
         def compute():
             self._sim_counter("sim.functional")
-            result = FunctionalSimulator(program, ext_defs=ext_defs).run(
-                max_steps=max_steps, collect_trace=True
-            )
+            result = FunctionalSimulator(
+                payload.program, ext_defs=payload.ext_defs
+            ).run(max_steps=payload.max_steps, collect_trace=True)
             return result.trace
 
         return self._cached(
-            "trace", program.name, fingerprint, compute,
-            extdefs=_ext_defs_digest(ext_defs), max_steps=max_steps,
+            "trace", payload.program.name, payload.fingerprint, compute,
+            extdefs=payload.defs_digest, max_steps=payload.max_steps,
         )
 
     def _simulate_batch(self, items: list[dict],
-                        bundle=None) -> list[dict]:
+                        payload: _Payload | None = None) -> list[dict]:
         """Simulate a coalesced batch: items share (program, ext_defs,
         max_steps) by construction (the broker groups on that key) but
-        each carries its own machine configuration.  With ``bundle``
-        (a decoded :class:`repro.wire.SimulateBundle` — the by-ref
-        path) the shared payload comes from the bundle instead of the
-        items, and a bundle-shipped trace skips the functional run
-        outright; results are identical either way, since the
-        functional simulator is deterministic.
+        each carries its own machine configuration.  With ``payload``
+        (a decoded bundle — the by-ref path) the shared payload comes
+        from the bundle instead of the items, and a bundle-shipped
+        trace skips the functional run outright; results are identical
+        either way, since the functional simulator is deterministic.
 
         One functional execution produces the shared trace; duplicate
         machine configurations within the batch are deduplicated (one
@@ -266,34 +309,24 @@ class OpRunner:
         results: list[dict | None] = [None] * len(items)
 
         def fail(i: int, exc: Exception) -> None:
-            results[i] = {"ok": False, "error": {
-                "code": getattr(exc, "code", protocol.OP_FAILED),
-                "message": f"{type(exc).__name__}: {exc}",
-            }}
+            results[i] = _item_error(exc)
 
-        # Decode the shared payload once (items carry identical blobs,
-        # or none at all on the by-ref path).
+        # Decode the shared payload once (items carry identical
+        # envelopes, or none at all on the by-ref path).
         try:
-            if bundle is not None:
-                program = bundle.program
-                ext_defs = bundle.ext_defs
-                max_steps = bundle.max_steps
-                trace = bundle.trace
-            else:
+            if payload is None:
                 first = items[0]
-                program = protocol.decode_value(first["program"])
-                ext_defs = protocol.decode_value(first.get("ext_defs"))
-                max_steps = first.get("max_steps", 50_000_000)
-                trace = None
-            if trace is None:
-                trace = self._trace_for(program, ext_defs, max_steps)
+                payload = _payload(
+                    protocol.decode_value(first["program"]),
+                    protocol.decode_value(first.get("ext_defs")),
+                    first.get("max_steps", 50_000_000),
+                )
+            trace = self._trace_for(payload)
         except (ReproError, AssertionError, TypeError, ValueError) as exc:
             for i in range(len(items)):
                 fail(i, exc)
             return results  # the whole batch shares the broken payload
-
-        fingerprint = program_fingerprint(program)
-        defs_digest = _ext_defs_digest(ext_defs)
+        program, ext_defs = payload.program, payload.ext_defs
 
         # Per-item machine decode: a bad config poisons only its item.
         machines: dict[int, MachineConfig] = {}
@@ -308,8 +341,9 @@ class OpRunner:
         def timing_key(machine: MachineConfig):
             return make_key(
                 kind="timing", workload=program.name, scale=_SERVE_SCALE,
-                fingerprint=fingerprint, extdefs=defs_digest,
-                max_steps=max_steps, machine=machine_fingerprint(machine),
+                fingerprint=payload.fingerprint, extdefs=payload.defs_digest,
+                max_steps=payload.max_steps,
+                machine=machine_fingerprint(machine),
             )
 
         store = self.pipeline.store
@@ -349,7 +383,8 @@ class OpRunner:
                                       ext_defs=ext_defs)
                 for indices, stats in zip(missed, sweep):
                     deliver(indices, stats)
-            except (ReproError, AssertionError, ValueError) as poisoned:
+            except (ReproError, AssertionError, TypeError,
+                    ValueError) as poisoned:
                 # Isolate the poison: replay per config so healthy
                 # configurations still get their answer.
                 del poisoned
@@ -359,7 +394,8 @@ class OpRunner:
                             program, machines[indices[0]], ext_defs=ext_defs
                         ).simulate(trace)
                         deliver(indices, stats)
-                    except (ReproError, AssertionError, ValueError) as exc:
+                    except (ReproError, AssertionError, TypeError,
+                            ValueError) as exc:
                         for i in indices:
                             fail(i, exc)
         return results

@@ -34,6 +34,7 @@ import threading
 import time
 from dataclasses import dataclass
 
+from repro import wire
 from repro.obs import Recorder
 from repro.serve import protocol
 from repro.serve.broker import _UNBATCHED, PendingRequest, RequestBroker
@@ -338,7 +339,9 @@ class ToolflowServer:
 
     def _put_trace(self, request: dict, respond) -> None:
         """Inline handler for ``put_trace``: store the request's first
-        binary attachment under its claimed digest."""
+        binary attachment under its claimed digest, once its bundle
+        header checks out (magic, current wire version, section
+        lengths)."""
         request_id = request.get("id")
         params = request.get("params") or {}
         digest = params.get("digest") if isinstance(params, dict) else None
@@ -350,8 +353,9 @@ class ToolflowServer:
                 "frame attachment"))
             return
         try:
+            wire.read_bundle_header(frames[0])
             nbytes = self.trace_cache.put(digest, frames[0])
-        except protocol.BadRequestError as exc:
+        except (protocol.BadRequestError, wire.FrameError) as exc:
             respond(protocol.error_response(
                 request_id, protocol.BAD_REQUEST, str(exc)))
             return

@@ -1,7 +1,9 @@
 """Worker subprocess: ``python -m repro.serve.worker``.
 
-The server spawns N of these and speaks length-prefixed pickle frames
-over their stdin/stdout pipes (:mod:`repro.serve.protocol`).  Each
+The server spawns N of these and speaks length-prefixed JSON frames
+(binary chunks riding out-of-band) over their stdin/stdout pipes
+(:mod:`repro.serve.protocol`); request values are decoded through the
+typed wire codecs, never unpickled.  Each
 worker owns one :class:`~repro.serve.ops.OpRunner` — and therefore one
 artifact-store connection — for its whole life, so the store's memo and
 the persistent cache stay warm across requests.

@@ -12,30 +12,31 @@ path (see ``docs/serving.md``, "Binary frames"):
 - **simulate bundles** wrap the trace-determining payload of a
   ``simulate`` request — program, ``ext_defs``, ``max_steps``, and
   optionally the dynamic trace as a columnar frame — into one
-  digest-addressed blob.  The digest is content-derived (sha256 prefix
-  of the encoded bytes), so a cache entry is self-certifying: the
-  server re-hashes an uploaded bundle before trusting its digest.
+  digest-addressed blob.  The program and ``ext_defs`` sections are
+  canonical JSON (the same codecs as the serve wire's ``$program`` and
+  ``$ext_defs`` envelopes).  The digest is content-derived (sha256
+  prefix of the encoded bytes), so a cache entry is self-certifying:
+  the server re-hashes an uploaded bundle before trusting its digest.
 
 The module deliberately depends on nothing above :mod:`repro.errors`
-(it imports :mod:`repro.sim.trace` lazily), so :mod:`repro.serve.protocol`
-can re-export it for the network path without an import cycle.
+(it imports the trace, program and ext_defs codecs lazily), so
+:mod:`repro.serve.protocol` can re-export it for the network path
+without an import cycle.
 
 Byte order is little-endian canonical.  On a big-endian host the
 encoder byteswaps into a copy and the decoder swaps back after
 ``frombytes`` — the frame bytes (and therefore the digests) are
 identical across hosts.
 
-.. warning::
-   Bundles embed pickled ``Program``/``ExtInstDef`` objects and are
-   decoded inside worker processes; like the rest of the serve wire
-   they must only be accepted from trusted callers (``docs/serving.md``,
-   "Trust boundary").
+Version 2 frames replaced version 1's pickled bundle sections; a
+version-1 frame is refused from its header, before any section is
+decoded.
 """
 
 from __future__ import annotations
 
 import hashlib
-import pickle
+import json
 import struct
 import sys
 from array import array
@@ -54,12 +55,13 @@ __all__ = [
     "trace_from_bytes",
     "SimulateBundle",
     "bundle_chunks",
+    "read_bundle_header",
     "decode_bundle",
     "chunks_digest",
 ]
 
 #: Version stamped into every frame header.
-WIRE_VERSION = 1
+WIRE_VERSION = 2
 
 #: The server-side ``max_steps`` default, shared so a bundle built
 #: without an explicit cap digests identically to one built with it.
@@ -236,18 +238,25 @@ class SimulateBundle:
     nbytes: int = 0            # encoded size (cache accounting)
 
 
+def _json_section(doc) -> bytes:
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+
+
 def bundle_chunks(program, ext_defs=None,
                   max_steps: int | None = None, trace=None) -> list:
     """Encode a simulate payload as a chunk list.
 
-    The program and ``ext_defs`` sections are pickled (they are rich
-    object graphs with no columnar shape); the trace — the part that
-    actually grows with workload size — rides as a columnar frame
-    appended zero-copy.  ``max_steps=None`` encodes the shared
-    :data:`DEFAULT_MAX_STEPS` so implicit and explicit defaults digest
-    identically."""
-    program_blob = pickle.dumps(program, protocol=pickle.HIGHEST_PROTOCOL)
-    defs_blob = pickle.dumps(ext_defs, protocol=pickle.HIGHEST_PROTOCOL)
+    The program and ``ext_defs`` sections are canonical JSON; the
+    trace — the part that actually grows with workload size — rides as
+    a columnar frame appended zero-copy.  ``max_steps=None`` encodes
+    the shared :data:`DEFAULT_MAX_STEPS` so implicit and explicit
+    defaults digest identically."""
+    from repro.extinst.serialize import ext_defs_to_json
+    from repro.program.program import program_to_json
+
+    program_blob = _json_section(program_to_json(program))
+    defs_blob = _json_section(
+        None if ext_defs is None else ext_defs_to_json(ext_defs))
     flags = _BUNDLE_HAS_TRACE if trace is not None else 0
     header = _BUNDLE_HEADER.pack(
         _BUNDLE_MAGIC, WIRE_VERSION, flags,
@@ -260,12 +269,13 @@ def bundle_chunks(program, ext_defs=None,
     return chunks
 
 
-def decode_bundle(buf) -> SimulateBundle:
-    """Inverse of :func:`bundle_chunks`.
+def read_bundle_header(buf) -> tuple[int, int, int, int]:
+    """Validate a bundle's header; returns ``(flags, max_steps,
+    program_len, defs_len)``.
 
-    Raises :class:`FrameError` on structural problems; unpickling the
-    program/defs sections happens here (worker side — the trust
-    boundary is the same as the legacy ``$pickle`` envelopes)."""
+    Raises :class:`FrameError` on a short buffer, bad magic, another
+    wire version, or sections that overrun the buffer — the check the
+    server runs on an upload before caching it."""
     view = memoryview(buf).cast("B")
     if len(view) < _BUNDLE_HEADER.size:
         raise FrameError(
@@ -278,20 +288,38 @@ def decode_bundle(buf) -> SimulateBundle:
         raise FrameError(f"bad bundle magic {bytes(magic)!r}")
     if version != WIRE_VERSION:
         raise FrameError(f"unsupported bundle version {version}")
-    offset = _BUNDLE_HEADER.size
-    if offset + program_len + defs_len > len(view):
+    if _BUNDLE_HEADER.size + program_len + defs_len > len(view):
         raise FrameError(
             f"truncated bundle: sections promise "
-            f"{offset + program_len + defs_len} byte(s), have {len(view)}"
+            f"{_BUNDLE_HEADER.size + program_len + defs_len} byte(s), "
+            f"have {len(view)}"
         )
+    return flags, max_steps, program_len, defs_len
+
+
+def decode_bundle(buf) -> SimulateBundle:
+    """Inverse of :func:`bundle_chunks`.
+
+    Raises :class:`FrameError` on structural problems and on sections
+    that do not decode to a program / ``ext_defs`` table."""
+    from repro.extinst.serialize import ext_defs_from_json
+    from repro.program.program import program_from_json
+
+    view = memoryview(buf).cast("B")
+    flags, max_steps, program_len, defs_len = read_bundle_header(view)
+    offset = _BUNDLE_HEADER.size
     try:
-        program = pickle.loads(view[offset:offset + program_len])
+        program = program_from_json(
+            json.loads(bytes(view[offset:offset + program_len])))
         offset += program_len
-        ext_defs = pickle.loads(view[offset:offset + defs_len])
+        defs_doc = json.loads(bytes(view[offset:offset + defs_len]))
         offset += defs_len
-    except Exception as exc:
-        raise FrameError(f"bundle payload failed to unpickle: {exc}") \
-            from exc
+        ext_defs = None if defs_doc is None else ext_defs_from_json(defs_doc)
+    except (TypeError, KeyError, ValueError, IndexError, AttributeError,
+            ReproError) as exc:
+        raise FrameError(
+            f"bundle section failed to decode: {type(exc).__name__}: {exc}"
+        ) from None
     trace = None
     if flags & _BUNDLE_HAS_TRACE:
         trace = trace_from_bytes(view[offset:])

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import base64
+import pickle
+import struct
+
 import pytest
 
 from repro.asm import assemble
@@ -21,6 +25,32 @@ def loop_program(body_lines: list[str], iterations: int = 100) -> str:
         f".text\nmain:\n    li $s0, {iterations}\nloop:\n{body}\n"
         "    addiu $s0, $s0, -1\n    bgtz $s0, loop\n    halt\n"
     )
+
+
+class _CreatesFile:
+    """Unpickling this object opens ``path`` for writing (creating it):
+    a harmless stand-in for code a hostile pickle would run."""
+
+    def __init__(self, path):
+        self.path = str(path)
+
+    def __reduce__(self):
+        return (open, (self.path, "w"))
+
+
+def hostile_pickle(marker) -> str:
+    """A base64 ``$pickle`` payload whose unpickling creates ``marker``."""
+    return base64.b64encode(pickle.dumps(_CreatesFile(marker))).decode()
+
+
+def hostile_v1_bundle(marker) -> bytes:
+    """A version-1 RSB1 simulate bundle with pickled sections; decoding
+    its program section would create ``marker``."""
+    program = pickle.dumps(_CreatesFile(marker))
+    defs = pickle.dumps(None)
+    header = struct.pack("<4sHBxQII", b"RSB1", 1, 0, 50_000_000,
+                         len(program), len(defs))
+    return header + program + defs
 
 
 @pytest.fixture(scope="session")

@@ -7,8 +7,12 @@ import json
 import pytest
 
 from repro import api
-from repro.engine.store import stats_to_json
+from repro.engine.store import program_fingerprint, stats_to_json
+from repro.extinst.extraction import ExtractionParams
+from repro.extinst.params import SelectionParams
 from repro.serve import protocol
+
+from conftest import hostile_pickle
 
 SOURCE = """
 .text
@@ -112,6 +116,68 @@ class TestValueCodec:
         assert protocol.blob_digest(wire) != protocol.blob_digest(other)
 
 
+class TestTypedEnvelopes:
+    """Every served type has one JSON codec; nothing is pickled."""
+
+    def test_program_envelope_is_source_plus_data(self, program):
+        wire = protocol.encode_value(program)
+        assert set(wire) == {"$program"}
+        assert wire["$program"]["source"] == program.render()
+        decoded = protocol.decode_value(json.loads(json.dumps(wire)))
+        assert decoded.text == program.text
+        assert decoded.labels == program.labels
+        assert program_fingerprint(decoded) == program_fingerprint(program)
+
+    def test_profile_envelope_rebuilds_cfg_and_loops(self, program):
+        profile = api.profile(program=program)
+        decoded = protocol.decode_value(
+            json.loads(json.dumps(protocol.encode_value(profile))))
+        assert decoded.exec_counts == list(profile.exec_counts)
+        assert len(decoded.cfg.blocks) == len(profile.cfg.blocks)
+        assert [lp.header for lp in decoded.loops] == \
+            [lp.header for lp in profile.loops]
+
+    def test_ext_defs_and_rewrite_result_round_trip(self, program):
+        selection = api.select(profile=api.profile(program=program),
+                               algorithm="greedy")
+        rewritten, defs = api.rewrite(program=program, selection=selection)
+        assert defs, "fixture should fold at least one sequence"
+        wire = protocol.encode_value((rewritten, defs))
+        decoded_program, decoded_defs = protocol.decode_value(
+            json.loads(json.dumps(wire)))
+        assert decoded_defs == defs
+        assert decoded_program.text == rewritten.text
+
+    def test_selection_params_round_trip(self):
+        params = SelectionParams(algorithm="isegen", select_pfus=3,
+                                 extraction=ExtractionParams(max_nodes=5))
+        wire = protocol.encode_value(params)
+        assert set(wire) == {"$selection_params"}
+        assert protocol.decode_value(json.loads(json.dumps(wire))) == params
+
+    def test_value_without_codec_raises(self):
+        with pytest.raises(protocol.BadRequestError, match="no wire codec"):
+            protocol.encode_value(object())
+
+    def test_pickle_envelope_is_refused_unopened(self, tmp_path):
+        marker = tmp_path / "unpickled"
+        with pytest.raises(protocol.BadRequestError, match="pickle"):
+            protocol.decode_value({"$pickle": hostile_pickle(marker)})
+        assert not marker.exists()
+
+    @pytest.mark.parametrize("bad", [
+        {"$program": {"source": "bogus $t0", "data": "", "symbols": {},
+                      "name": "x"}},
+        {"$ext_defs": 7},
+        {"$list": {"a": 1}},
+        {"$stats": {}, "extra": 1},
+        {"$nope": 1},
+    ])
+    def test_malformed_envelopes_are_bad_requests(self, bad):
+        with pytest.raises(protocol.BadRequestError):
+            protocol.decode_value(bad)
+
+
 class TestJsonFraming:
     def test_dump_parse_round_trip(self):
         obj = {"id": 7, "op": "simulate", "params": {"x": 1}}
@@ -175,21 +241,14 @@ class TestPickleFraming:
         buf.seek(0)
         assert protocol.read_frame(buf) == payload
 
-    def test_non_json_safe_payload_falls_back_to_pickle_kind(self, program):
+    def test_non_json_safe_payload_raises(self, program):
+        """Pipe frames are ``J`` only: a raw object that was never
+        routed through ``encode_value`` fails loudly instead of
+        falling back to another encoding."""
         buf = io.BytesIO()
-        payload = {"op": "profile", "program": program}
-        protocol.write_frame(buf, payload)
-        assert buf.getvalue()[4:5] == b"P"
-        buf.seek(0)
-        assert protocol.read_frame(buf)["program"].name == program.name
-
-    def test_env_escape_hatch_forces_pickle_kind(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVE_PICKLE", "1")
-        buf = io.BytesIO()
-        protocol.write_frame(buf, {"op": "simulate", "items": []})
-        assert buf.getvalue()[4:5] == b"P"
-        buf.seek(0)
-        assert protocol.read_frame(buf) == {"op": "simulate", "items": []}
+        with pytest.raises(protocol.BadRequestError, match="not JSON-safe"):
+            protocol.write_frame(buf, {"op": "profile", "program": program})
+        assert buf.getvalue() == b""
 
     def test_unknown_frame_kind_raises(self):
         buf = io.BytesIO()

@@ -3,9 +3,8 @@
 One in-process server; clients exercise the ``$trace_ref`` handshake:
 cold-cache ``need_trace`` recovery, explicit ``put_trace`` warmup, the
 ship-once guarantee across a config sweep (measured in actual socket
-bytes), trace-carrying bundles, and byte identity of every framed
-response against both the legacy inline path and the
-``REPRO_SERVE_PICKLE=1`` escape hatch.
+bytes), trace-carrying bundles, and byte identity of every by-ref
+response against the by-value path.
 """
 
 import json
@@ -76,8 +75,12 @@ class TestByRefSimulate:
 
     def test_sweep_ships_bundle_once(self, server, program, machines,
                                      expected):
+        # The typed program section of this 12-instruction program is
+        # smaller than four by-ref request lines, so the bundle carries
+        # its trace to stay kilobytes large.
+        trace = FunctionalSimulator(program).run(collect_trace=True).trace
         with ServeClient(server.address, timeout=60.0) as client:
-            ref = client.trace_ref(program=program)
+            ref = client.trace_ref(program=program, trace=trace)
             client.put_trace(ref)
             sent_before = client.bytes_sent
             pending = [client.simulate_submit(program=ref, machine=machine)
@@ -125,37 +128,16 @@ class TestTraceShippedBundles:
 class TestEscapeHatch:
     def test_inline_ref_degrades_transparently(self, server, program,
                                                machines, expected):
-        """A non-framed client's ``trace_ref`` unwraps to the legacy
-        inline params — same call sites, byte-identical answers, no
-        framing anywhere on the wire."""
-        with ServeClient(server.address, timeout=60.0,
-                         framed=False) as client:
-            ref = client.trace_ref(program=program)
-            assert ref.inline
+        """By-value simulates (typed ``$program`` params on every
+        request, no framing anywhere on the wire) answer exactly what
+        the by-ref path answers."""
+        with ServeClient(server.address, timeout=60.0) as client:
             answers = [
-                canonical(client.simulate(program=ref, machine=machine))
+                canonical(client.simulate(program=program, machine=machine))
                 for machine in machines
             ]
             assert answers == expected
             assert client.trace_uploads == 0
-            with pytest.raises(protocol.BadRequestError):
-                client.put_trace(ref)
-
-    def test_pickle_env_matches_framed_answers(self, program, machines,
-                                               expected, monkeypatch):
-        """The full ``REPRO_SERVE_PICKLE=1`` stack — client inline refs
-        plus pickle worker pipe frames — answers byte-identically."""
-        monkeypatch.setenv("REPRO_SERVE_PICKLE", "1")
-        with ToolflowServer(ServeConfig(workers=1)) as srv:
-            with ServeClient(srv.address, timeout=60.0) as client:
-                client.wait_ready()
-                assert not client.framed
-                ref = client.trace_ref(program=program)
-                answers = [
-                    canonical(client.simulate(program=ref, machine=machine))
-                    for machine in machines
-                ]
-        assert answers == expected
 
 
 class TestSweepReport:

@@ -8,11 +8,12 @@ side, and seeded fuzz round trips through
 """
 
 import array
+import json
 import random
 
 import pytest
 
-from repro import wire
+from repro import api, wire
 from repro.asm import assemble
 from repro.fuzz import build_program, check_wire_framing
 from repro.sim.functional import FunctionalSimulator
@@ -153,6 +154,24 @@ class TestBundles:
         with pytest.raises(wire.FrameError, match="magic"):
             wire.decode_bundle(b"Z" * 64)
 
+    def test_sections_are_canonical_json(self):
+        program = assemble(".text\nmain: li $t0, 3\n    halt\n")
+        header, program_blob, defs_blob = wire.bundle_chunks(program)
+        assert json.loads(program_blob)["source"] == program.render()
+        assert defs_blob == b"null"
+        assert wire.read_bundle_header(
+            header + program_blob + defs_blob)[2:] == \
+            (len(program_blob), len(defs_blob))
+
+    def test_undecodable_section_is_a_frame_error(self):
+        header, program_blob, defs_blob = wire.bundle_chunks(
+            assemble(".text\nmain: halt\n"))
+        garbled = program_blob.replace(b"halt", b"hal!")
+        header = header[:-8] + len(garbled).to_bytes(4, "little") + \
+            header[-4:]
+        with pytest.raises(wire.FrameError, match="failed to decode"):
+            wire.decode_bundle(header + garbled + defs_blob)
+
 
 class TestFuzzRoundTrip:
     def test_seeded_random_traces_round_trip(self):
@@ -169,3 +188,17 @@ class TestFuzzRoundTrip:
         program, _ = build_program(seed=99, flavor="asm")
         trace = FunctionalSimulator(program).run(collect_trace=True).trace
         check_wire_framing(trace)
+
+    @pytest.mark.parametrize("flavor", ["asm", "minic"])
+    def test_fuzz_program_and_rewrite_bundle_round_trip(self, flavor):
+        program, _ = build_program(seed=2026, flavor=flavor)
+        trace = FunctionalSimulator(program).run(collect_trace=True).trace
+        check_wire_framing(trace, program)
+        selection = api.select(profile=api.profile(program=program),
+                               algorithm="greedy")
+        rewritten, defs = api.rewrite(program=program, selection=selection,
+                                      validate=False)
+        assert defs, "fixture should fold at least one sequence"
+        trace = FunctionalSimulator(rewritten, ext_defs=defs).run(
+            collect_trace=True).trace
+        check_wire_framing(trace, rewritten, defs)
