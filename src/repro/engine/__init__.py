@@ -39,8 +39,6 @@ from repro.engine.pipeline import (
     get_default_pipeline,
     make_spec,
     run_stage,
-    selection_from_payload,
-    spec_payload,
 )
 from repro.engine.scheduler import (
     Job,
@@ -70,6 +68,7 @@ from repro.engine.telemetry import JobRecord, Telemetry
 from repro.errors import ConfigurationError, ReproError
 from repro.extinst import BASELINE, Selection
 from repro.extinst.registry import normalize_select_pfus
+from repro.extinst.serialize import selection_from_json
 
 __all__ = [
     "ArtifactKey", "ArtifactPipeline", "ArtifactStore", "EngineConfig",
@@ -95,6 +94,9 @@ class EngineConfig:
     ``no_cache`` wins over ``cache_dir`` (explicit opt-out).  A
     ``job_timeout`` of None disables wall-clock budgets; ``retries`` is
     the number of extra attempts for transient failures/timeouts.
+    Whether a rewrite is checked against the original program is part
+    of each experiment request (``ExperimentSpec.validate``), not of
+    the engine.
     ``sim_jobs`` is accepted for compatibility with older callers and
     must be 1: every timing replay runs serially.
     """
@@ -102,7 +104,6 @@ class EngineConfig:
     jobs: int = 1
     cache_dir: str | None = None
     no_cache: bool = False
-    validate: bool = True
     job_timeout: float | None = None
     retries: int = 1
     sim_jobs: int = 1
@@ -191,59 +192,42 @@ class ExperimentEngine:
     # ------------------------------------------------------------------
     # graph construction
 
-    def _add_artifact_jobs(
-        self, graph: JobGraph, spec: ExperimentSpec
+    def _job(
+        self, graph: JobGraph, job_id: str, stage: str,
+        deps: tuple[str, ...] = (), **payload,
+    ) -> str:
+        """Add one ``stage`` job (deduplicated by id); returns its id."""
+        graph.add(Job(
+            job_id=job_id, kind=stage,
+            payload={"stage": stage, "cache_dir": self._cache_dir, **payload},
+            deps=deps,
+            timeout=self.config.job_timeout, retries=self.config.retries,
+        ))
+        return job_id
+
+    def _profile_deps(
+        self, graph: JobGraph, workload: str, scale: int
     ) -> tuple[str, ...]:
-        """Profile/prepare jobs an experiment depends on (store mode only:
-        without a shared store, artefacts cannot cross processes, so the
-        experiment job computes its chain itself)."""
+        """The profile job a workload's artefacts depend on — store mode
+        only: without a shared store artefacts cannot cross processes,
+        so each leaf job computes its own chain."""
         if self.store is None:
             return ()
-        profile_id = f"profile:{spec.workload}@{spec.scale}"
-        graph.add(Job(
-            job_id=profile_id, kind="profile",
-            payload={"stage": "profile", "cache_dir": self._cache_dir,
-                     "workload": spec.workload, "scale": spec.scale},
-            timeout=self.config.job_timeout, retries=self.config.retries,
-        ))
-        if spec.algorithm == BASELINE:
-            return (profile_id,)
-        sel = "unl" if spec.select_pfus is None else spec.select_pfus
-        prepare_id = (
-            f"prepare:{spec.workload}@{spec.scale}:{spec.algorithm}"
-            f":sel={sel}:val={int(spec.validate)}"
-        )
-        graph.add(Job(
-            job_id=prepare_id, kind="prepare",
-            payload={"stage": "prepare", "cache_dir": self._cache_dir,
-                     "workload": spec.workload, "scale": spec.scale,
-                     "algorithm": spec.algorithm,
-                     "select_pfus": spec.select_pfus,
-                     "validate": spec.validate, "materialize": True},
-            deps=(profile_id,),
-            timeout=self.config.job_timeout, retries=self.config.retries,
-        ))
-        return (prepare_id,)
+        return (self._job(graph, f"profile:{workload}@{scale}", "profile",
+                          workload=workload, scale=scale),)
 
     # ------------------------------------------------------------------
     # public API
 
     def run_batch(self, specs: list[ExperimentSpec]) -> list[ExperimentResult]:
         """Run a batch of experiments; results come back in spec order."""
-        graph = JobGraph()
-        leaf_ids: list[str] = []
-        for spec in specs:
-            deps = self._add_artifact_jobs(graph, spec)
-            leaf_id = f"experiment:{spec.token()}"
-            graph.add(Job(
-                job_id=leaf_id, kind="experiment",
-                payload=spec_payload(spec, self._cache_dir),
-                deps=deps,
-                timeout=self.config.job_timeout, retries=self.config.retries,
-            ))
-            leaf_ids.append(leaf_id)
-        results = self._execute(graph)
-        return [results[leaf].value["value"] for leaf in leaf_ids]
+        return self.run_explore_points([
+            {"id": spec.token(), "workload": spec.workload,
+             "scale": spec.scale, "algorithm": spec.algorithm,
+             "select_pfus": spec.select_pfus, "validate": spec.validate,
+             "machine": spec.machine}
+            for spec in specs
+        ])
 
     def run(self, spec: ExperimentSpec) -> ExperimentResult:
         return self.run_batch([spec])[0]
@@ -251,93 +235,50 @@ class ExperimentEngine:
     def run_explore_points(
         self, requests: list[dict]
     ) -> list[ExperimentResult]:
-        """Execute design-space points for :mod:`repro.explore`.
+        """Execute experiments, each one design point.
 
         Each request is a dict with keys ``workload``, ``scale``,
         ``algorithm``, ``select_pfus``, ``validate``, ``machine`` (a
         :class:`~repro.sim.ooo.MachineConfig`), and ``id`` (a short
-        token used for job naming).  Baseline denominators are
-        deduplicated into one explicit job per (workload, scale, core
-        geometry), so parallel points never race on the same baseline
-        replay; results come back in request order.
+        token used for job naming).  With a store, each point depends on
+        a prepare job (rewrite + trace) and on one baseline job per
+        (workload, scale, core geometry), so parallel points never race
+        on the same artefact; results come back in request order.
         """
         graph = JobGraph()
         leaf_ids: list[str] = []
-        base_ids: dict[tuple, str] = {}
         for req in requests:
-            machine = req["machine"]
             workload, scale = req["workload"], req["scale"]
-            algorithm = req["algorithm"]
-            profile_deps: tuple[str, ...] = ()
-            if self.store is not None:
-                profile_id = f"profile:{workload}@{scale}"
-                graph.add(Job(
-                    job_id=profile_id, kind="profile",
-                    payload={"stage": "profile", "cache_dir": self._cache_dir,
-                             "workload": workload, "scale": scale,
-                             "baseline": False},
-                    timeout=self.config.job_timeout,
-                    retries=self.config.retries,
-                ))
-                profile_deps = (profile_id,)
-            core = core_machine(machine)
-            core_fp = machine_fingerprint(core)
-            base_key = (workload, scale, core_fp)
-            base_id = base_ids.get(base_key)
-            if base_id is None:
-                base_id = f"explore:base:{workload}@{scale}:{core_fp[:12]}"
-                graph.add(Job(
-                    job_id=base_id, kind="explore",
-                    payload={"stage": "explore", "cache_dir": self._cache_dir,
-                             "workload": workload, "scale": scale,
-                             "algorithm": BASELINE, "select_pfus": None,
-                             "validate": req["validate"],
-                             "machine": machine_to_json(core)},
-                    deps=profile_deps,
-                    timeout=self.config.job_timeout,
-                    retries=self.config.retries,
-                ))
-                base_ids[base_key] = base_id
-            if algorithm == BASELINE:
-                leaf_ids.append(base_id)
+            point = {key: req[key] for key in (
+                "workload", "scale", "algorithm", "select_pfus", "validate")}
+            profile_deps = self._profile_deps(graph, workload, scale)
+            core = core_machine(req["machine"])
+            base_id = (f"explore:base:{workload}@{scale}"
+                       f":{machine_fingerprint(core)[:12]}")
+            base = dict(point, algorithm=BASELINE, select_pfus=None,
+                        machine=machine_to_json(core))
+            if req["algorithm"] == BASELINE:
+                leaf_ids.append(
+                    self._job(graph, base_id, "explore", profile_deps, **base)
+                )
                 continue
-            deps = [base_id]
+            deps: tuple[str, ...] = ()
             if self.store is not None:
-                sel = (
-                    "unl" if req["select_pfus"] is None
-                    else req["select_pfus"]
+                sel = ("unl" if req["select_pfus"] is None
+                       else req["select_pfus"])
+                deps = (
+                    self._job(graph, base_id, "explore", profile_deps, **base),
+                    self._job(
+                        graph,
+                        f"prepare:{workload}@{scale}:{req['algorithm']}"
+                        f":sel={sel}:val={int(req['validate'])}",
+                        "prepare", profile_deps, **point,
+                    ),
                 )
-                prepare_id = (
-                    f"prepare:{workload}@{scale}:{algorithm}"
-                    f":sel={sel}:val={int(req['validate'])}"
-                )
-                graph.add(Job(
-                    job_id=prepare_id, kind="prepare",
-                    payload={"stage": "prepare", "cache_dir": self._cache_dir,
-                             "workload": workload, "scale": scale,
-                             "algorithm": algorithm,
-                             "select_pfus": req["select_pfus"],
-                             "validate": req["validate"],
-                             "materialize": True},
-                    deps=profile_deps,
-                    timeout=self.config.job_timeout,
-                    retries=self.config.retries,
-                ))
-                deps.append(prepare_id)
-            leaf_id = f"explore:{req['id']}"
-            graph.add(Job(
-                job_id=leaf_id, kind="explore",
-                payload={"stage": "explore", "cache_dir": self._cache_dir,
-                         "workload": workload, "scale": scale,
-                         "algorithm": algorithm,
-                         "select_pfus": req["select_pfus"],
-                         "validate": req["validate"],
-                         "machine": machine_to_json(machine)},
-                deps=tuple(deps),
-                timeout=self.config.job_timeout,
-                retries=self.config.retries,
+            leaf_ids.append(self._job(
+                graph, f"explore:{req['id']}", "explore", deps,
+                machine=machine_to_json(req["machine"]), **point,
             ))
-            leaf_ids.append(leaf_id)
         results = self._execute(graph)
         return [results[leaf].value["value"] for leaf in leaf_ids]
 
@@ -350,32 +291,16 @@ class ExperimentEngine:
         leaf_ids: list[str] = []
         for workload, scale, algorithm, select_pfus in requests:
             select_pfus = normalize_select_pfus(algorithm, select_pfus)
-            deps: tuple[str, ...] = ()
-            if self.store is not None:
-                profile_id = f"profile:{workload}@{scale}"
-                graph.add(Job(
-                    job_id=profile_id, kind="profile",
-                    payload={"stage": "profile", "cache_dir": self._cache_dir,
-                             "workload": workload, "scale": scale},
-                    timeout=self.config.job_timeout,
-                    retries=self.config.retries,
-                ))
-                deps = (profile_id,)
             sel = "unl" if select_pfus is None else select_pfus
-            leaf_id = f"selection:{workload}@{scale}:{algorithm}:sel={sel}"
-            graph.add(Job(
-                job_id=leaf_id, kind="selection",
-                payload={"stage": "prepare", "cache_dir": self._cache_dir,
-                         "workload": workload, "scale": scale,
-                         "algorithm": algorithm, "select_pfus": select_pfus,
-                         "materialize": False, "return_selection": True},
-                deps=deps,
-                timeout=self.config.job_timeout, retries=self.config.retries,
+            leaf_ids.append(self._job(
+                graph, f"select:{workload}@{scale}:{algorithm}:sel={sel}",
+                "select", self._profile_deps(graph, workload, scale),
+                workload=workload, scale=scale, algorithm=algorithm,
+                select_pfus=select_pfus,
             ))
-            leaf_ids.append(leaf_id)
         results = self._execute(graph)
         return [
-            selection_from_payload(results[leaf].value["value"])
+            selection_from_json(results[leaf].value["value"])
             for leaf in leaf_ids
         ]
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import time
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from typing import Any, Callable
 
 from repro.engine.store import (
@@ -49,7 +49,7 @@ from repro.extinst.registry import (
     selection_cache_extras,
 )
 from repro.obs import get_recorder
-from repro.extinst.serialize import selection_from_json, selection_to_json
+from repro.extinst.serialize import selection_to_json
 from repro.profiling import ProgramProfile, profile_program
 from repro.program.program import Program
 from repro.sim.functional import FunctionalSimulator
@@ -125,6 +125,15 @@ class ExperimentSpec:
             f"{self.workload}@{self.scale}:{self.algorithm}"
             f":pfus={pfus}:sel={sel}:reconf={self.reconfig_latency}"
             f":val={int(self.validate)}"
+        )
+
+    @property
+    def machine(self) -> MachineConfig:
+        """The machine this experiment is timed on."""
+        if self.algorithm == BASELINE:
+            return BASELINE_MACHINE
+        return MachineConfig(
+            n_pfus=self.n_pfus, reconfig_latency=self.reconfig_latency
         )
 
 
@@ -397,12 +406,9 @@ class ArtifactPipeline:
     ) -> SimStats:
         """Timing of the rewritten program on an arbitrary machine.
 
-        The generalisation :meth:`timing` and the design-space explorer
-        (:mod:`repro.explore`) share: any :class:`MachineConfig` field
-        may vary, and the cache key carries the full machine fingerprint
-        — for machines that only vary PFU count and reconfiguration
-        latency the keys are identical to :meth:`timing`'s, so sweeps
-        and figure drivers serve each other's warm artefacts.
+        Any :class:`MachineConfig` field may vary; the cache key carries
+        the full machine fingerprint, so figure drivers and design-space
+        sweeps that name the same machine share warm artefacts.
         """
         if algorithm == BASELINE:
             return self.baseline_timing(name, scale, core_machine(machine))
@@ -433,16 +439,6 @@ class ArtifactPipeline:
             compute,
         )
 
-    def timing(self, spec: ExperimentSpec) -> SimStats:
-        """Timing of the rewritten program on the spec's machine."""
-        machine = MachineConfig(
-            n_pfus=spec.n_pfus, reconfig_latency=spec.reconfig_latency
-        )
-        return self.timing_for(
-            spec.workload, spec.scale, spec.algorithm,
-            spec.select_pfus, spec.validate, machine,
-        )
-
     # ------------------------------------------------------------------
     # whole experiments
 
@@ -455,7 +451,7 @@ class ArtifactPipeline:
         validate: bool,
         machine: MachineConfig,
     ) -> ExperimentResult:
-        """One design-space point: timing plus the matching baseline.
+        """One experiment (a design point): timing plus its baseline.
 
         The baseline is measured on :func:`core_machine` of ``machine``
         (same core geometry, PFU fields normalised), so speedups stay
@@ -478,26 +474,6 @@ class ArtifactPipeline:
             workload=name, algorithm=algorithm, n_pfus=machine.n_pfus,
             reconfig_latency=machine.reconfig_latency, stats=stats,
             baseline_cycles=base.cycles, n_configs=selection.n_configs,
-        )
-
-    def run(self, spec: ExperimentSpec) -> ExperimentResult:
-        """Run one T1000 experiment end to end (cached at every stage)."""
-        base = self.baseline_timing(spec.workload, spec.scale)
-        if spec.algorithm == BASELINE:
-            return ExperimentResult(
-                workload=spec.workload, algorithm=BASELINE, n_pfus=0,
-                reconfig_latency=0, stats=base,
-                baseline_cycles=base.cycles, n_configs=0,
-            )
-        stats = self.timing(spec)
-        selection = self.selection(
-            spec.workload, spec.scale, spec.algorithm, spec.select_pfus
-        )
-        return ExperimentResult(
-            workload=spec.workload, algorithm=spec.algorithm,
-            n_pfus=spec.n_pfus, reconfig_latency=spec.reconfig_latency,
-            stats=stats, baseline_cycles=base.cycles,
-            n_configs=selection.n_configs,
         )
 
     def flush(self) -> None:
@@ -544,31 +520,24 @@ def run_stage(pipeline: ArtifactPipeline, payload: dict) -> dict:
     started = time.perf_counter()
     stage = payload["stage"]
     value: Any = None
-    if stage == "profile":
-        name, scale = payload["workload"], payload["scale"]
-        pipeline.profile(name, scale)
-        if payload.get("baseline", True):
-            pipeline.baseline_timing(name, scale)
-    elif stage == "prepare":
-        name, scale = payload["workload"], payload["scale"]
-        algorithm = payload["algorithm"]
-        select_pfus = payload["select_pfus"]
-        selection = pipeline.selection(name, scale, algorithm, select_pfus)
-        if payload.get("materialize", True):
-            validate = payload["validate"]
-            pipeline.rewrite(name, scale, algorithm, select_pfus, validate)
-            pipeline.trace(name, scale, algorithm, select_pfus, validate)
-        if payload.get("return_selection", False):
-            value = selection_to_json(selection)
-    elif stage == "experiment":
-        spec = ExperimentSpec(**payload["spec"])
-        value = pipeline.run(spec)
-    elif stage == "explore":
+    if stage == "explore":
         value = pipeline.explore_point(
             payload["workload"], payload["scale"], payload["algorithm"],
             payload["select_pfus"], payload["validate"],
             machine_from_json(payload["machine"]),
         )
+    elif stage == "profile":
+        pipeline.profile(payload["workload"], payload["scale"])
+    elif stage == "select":
+        value = selection_to_json(pipeline.selection(
+            payload["workload"], payload["scale"], payload["algorithm"],
+            payload["select_pfus"],
+        ))
+    elif stage == "prepare":
+        args = (payload["workload"], payload["scale"], payload["algorithm"],
+                payload["select_pfus"], payload["validate"])
+        pipeline.rewrite(*args)
+        pipeline.trace(*args)
     else:
         raise ConfigurationError(f"unknown job stage {stage!r}")
     pipeline.flush()
@@ -582,14 +551,3 @@ def run_stage(pipeline: ArtifactPipeline, payload: dict) -> dict:
 def execute_job(payload: dict) -> dict:
     """Worker-process job runner (resolves the pipeline by cache dir)."""
     return run_stage(_pipeline_for(payload.get("cache_dir")), payload)
-
-
-def spec_payload(spec: ExperimentSpec, cache_dir: str | None) -> dict:
-    """Build the picklable job payload for an experiment spec."""
-    return {"stage": "experiment", "cache_dir": cache_dir,
-            "spec": asdict(spec)}
-
-
-def selection_from_payload(value: dict) -> Selection:
-    """Decode the selection JSON a "prepare" job returns."""
-    return selection_from_json(value)

@@ -308,7 +308,8 @@ class StoreStats:
         lines.append(
             "simulations: "
             f"functional={self.counters.get('sim.functional', 0)} "
-            f"timing={self.counters.get('sim.timing', 0)}"
+            f"timing={self.counters.get('sim.timing', 0)} "
+            f"validate={self.counters.get('sim.validate', 0)}"
         )
         return "\n".join(lines)
 

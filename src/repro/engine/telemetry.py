@@ -6,7 +6,7 @@ engine runs:
 - **counters** — flat ``name -> int`` counts. Names are dotted paths so
   reports can group them: ``cache.hit.profile``, ``cache.miss.timing``,
   ``store.put.selection``, ``sim.functional``, ``sim.timing``,
-  ``compute.selection`` and so on.
+  ``sim.validate``, ``compute.selection`` and so on.
 - **job records** — one :class:`JobRecord` per scheduled job with its
   status, attempt count, and wall time.
 
@@ -145,7 +145,8 @@ class Telemetry:
         lines.append(
             f"  simulations: {sims} "
             f"(functional={self.counters.get('sim.functional', 0)}, "
-            f"timing={self.counters.get('sim.timing', 0)})"
+            f"timing={self.counters.get('sim.timing', 0)}, "
+            f"validate={self.counters.get('sim.validate', 0)})"
         )
         slowest = sorted(self.jobs, key=lambda j: -j.wall_time)[:5]
         if slowest and slowest[0].wall_time > 0:

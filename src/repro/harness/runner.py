@@ -136,7 +136,10 @@ class WorkloadLab:
             scale=self.scale, select_pfus=select_pfus,
             validate=self.validate,
         )
-        return self.pipeline.run(spec)
+        return self.pipeline.explore_point(
+            spec.workload, spec.scale, spec.algorithm, spec.select_pfus,
+            spec.validate, spec.machine,
+        )
 
 
 @lru_cache(maxsize=None)

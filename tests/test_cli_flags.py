@@ -81,7 +81,11 @@ def test_metrics_report_subcommand_parses():
     assert args.top == 3
 
 
-def test_obs_flags_produce_well_formed_files(tmp_path, capsys):
+def test_obs_flags_produce_well_formed_files(tmp_path, capsys, monkeypatch):
+    # --no-cache runs on the process-wide storeless pipeline; a fresh one
+    # keeps an earlier test's warm memo from skipping the simulations
+    # whose metrics this test checks.
+    monkeypatch.setattr("repro.engine.pipeline._DEFAULT_PIPELINE", None)
     metrics = str(tmp_path / "m.jsonl")
     trace = str(tmp_path / "t.json")
     rc = main(["run", "gsm_encode", "--algorithm", "selective", "--pfus", "2",

@@ -5,6 +5,8 @@ simulations, and a parallel run produces byte-identical tables to a
 serial one.
 """
 
+import re
+
 import pytest
 
 from repro.engine import EngineConfig, ExperimentEngine, make_spec
@@ -50,6 +52,23 @@ class TestColdVsWarm:
         assert stats.artifacts > 0
         assert stats.puts == stats.artifacts
         assert stats.counters.get("sim.timing", 0) > 0
+
+
+class TestRunSummary:
+    def test_simulation_breakdown_sums_to_total(self, tmp_path):
+        engine = make_engine(tmp_path)
+        fig2_greedy(workloads=(WORKLOAD,), engine=engine)
+        total = engine.telemetry.total("sim")
+        assert engine.telemetry.counters["sim.validate"] > 0
+        [line] = [ln for ln in engine.report().splitlines()
+                  if "simulations:" in ln]
+        parts = dict(re.findall(r"(\w+)=(\d+)", line))
+        assert int(line.split("simulations:")[1].split()[0]) == total
+        assert sum(map(int, parts.values())) == total
+        [line] = [ln for ln in engine.store.stats().render().splitlines()
+                  if ln.startswith("simulations:")]
+        parts = dict(re.findall(r"(\w+)=(\d+)", line))
+        assert sum(map(int, parts.values())) == total
 
 
 class TestParallel:
